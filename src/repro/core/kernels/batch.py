@@ -37,6 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ...machine.traffic import flops_per_row
 from ...observe import tracer as _obs
 from ...sparse import CSR
 
@@ -68,14 +69,7 @@ DEFAULT_BATCH_CROSSOVER_FLOPS = 1 << 18
 
 def per_row_flops(a: CSR, b: CSR) -> np.ndarray:
     """Upper-bound scalar products per output row (``flops(A[i,:] @ B)``)."""
-    per_row = np.zeros(a.nrows, dtype=np.int64)
-    if a.nnz:
-        np.add.at(
-            per_row,
-            np.repeat(np.arange(a.nrows), a.row_nnz()),
-            b.row_nnz()[a.indices],
-        )
-    return per_row
+    return flops_per_row(a, b)
 
 
 def resolve_tier(

@@ -28,6 +28,7 @@ from ...machine import OpCounter
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSC, CSR
+from .batch import plan_flop_blocks
 from .expand import row_keys
 
 __all__ = ["masked_spgemm_inner_fast"]
@@ -72,15 +73,7 @@ def masked_spgemm_inner_fast(
     out_vals = []
 
     # block the mask nonzeros so each block pulls at most pull_budget pairs
-    nmask = m_cols_all.shape[0]
-    pulls = col_nnz[m_cols_all] if nmask else np.empty(0, dtype=np.int64)
-    lo = 0
-    while lo < nmask:
-        acc = 0
-        hi = lo
-        while hi < nmask and (acc == 0 or acc + pulls[hi] <= pull_budget):
-            acc += int(pulls[hi])
-            hi += 1
+    for lo, hi in plan_flop_blocks(col_nnz[m_cols_all], pull_budget):
         m_rows = m_rows_all[lo:hi]
         m_cols = m_cols_all[lo:hi]
         if counter is not None:
@@ -90,7 +83,6 @@ def masked_spgemm_inner_fast(
         counts = csc.indptr[m_cols + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            lo = hi
             continue
         block_ofs = np.repeat(np.cumsum(counts) - counts, counts)
         pos = np.arange(total, dtype=np.int64) - block_ofs + np.repeat(starts, counts)
@@ -118,7 +110,6 @@ def masked_spgemm_inner_fast(
         out_vals.append(vals[hit])
         if counter is not None:
             counter.useful_flops += int(hit.sum())
-        lo = hi
 
     if out_rows:
         rows = np.concatenate(out_rows)

@@ -22,7 +22,7 @@ multi-backend) plugs in here.
 from .delta import DELTA_MAX_FRACTION, DeltaPlan, delta_execute
 from .executor import execute, plan_and_execute
 from .plan import ExecutionPlan, RowBand, ShardGrid
-from .planner import PLAN_CANDIDATES, Planner, plan
+from .planner import PLAN_CANDIDATES, PULL_RULE_RATIO, Planner, plan
 from .session import ExecutionSession, Fingerprint, fingerprint_csr, resolve_session
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "Planner",
     "plan",
     "PLAN_CANDIDATES",
+    "PULL_RULE_RATIO",
     "execute",
     "plan_and_execute",
     "ExecutionSession",

@@ -1,15 +1,22 @@
 """The :class:`Planner` — turns (A, B, M, machine) into an
 :class:`~repro.engine.plan.ExecutionPlan`.
 
-This is where the machine cost model (:class:`repro.machine.RowCostModel`)
-finally *drives* execution instead of only narrating it: the planner
-evaluates every candidate algorithm's modeled per-row cycles, assigns each
-output row to the cheapest one (Figure 7's regime map, computed rather than
-eyeballed), decides the 1P/2P phase strategy, picks a row partition and
-thread count for the parallel executor, and — given a memory budget — adds
-the column panelling of the out-of-core path.
+On the default machine — the host profile (:func:`repro.machine.host_profile`)
+— the algorithm comes from a short rule measured on the host: the pull-based
+``inner`` kernel when it reads fewer than a third as many B entries as the
+product has flops, MSA otherwise (and always under a complemented mask).
+The rule picks one algorithm per call (mode ``"rule"``); the worker count is
+capped at the CPUs this process may use.
 
-Three banding policies:
+On a paper preset (``machine="haswell"``/``"knl"``) or a fitted config the
+machine cost model (:class:`repro.machine.RowCostModel`) drives execution:
+the planner evaluates every candidate algorithm's modeled per-row cycles,
+assigns each output row to the cheapest one (Figure 7's regime map, computed
+rather than eyeballed), decides the 1P/2P phase strategy, picks a row
+partition and thread count for the parallel executor, and — given a memory
+budget — adds the column panelling of the out-of-core path.
+
+Three banding policies for the cost model:
 
 * ``"cost"`` (default) — per-row argmin over the cost model, with small
   bands consolidated so dispatch overhead cannot swamp the win;
@@ -32,12 +39,12 @@ from ..core.hybrid import classify_rows
 from ..core.kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, bucket_census, \
     per_row_flops
 from ..core.masked_spgemm import ALGO_LABELS, ALL_ALGOS, supports_complement
-from ..machine import RowCostModel, total_flops
-from ..machine.fit import resolve_machine
+from ..machine import RowCostModel
+from ..machine.fit import HOST, resolve_machine
 from ..parallel.executor import normalize_backend
 from .plan import ExecutionPlan, RowBand, ShardGrid
 
-__all__ = ["Planner", "plan", "PLAN_CANDIDATES"]
+__all__ = ["Planner", "plan", "PLAN_CANDIDATES", "PULL_RULE_RATIO"]
 
 #: default candidate set: the fast-kernel algorithms the executor can run
 #: at full speed (heap/heapdot are reference-only and excluded).
@@ -54,15 +61,23 @@ _REASONS = {
 
 _WORD = 8  # bytes per index/value word, as in the paper's analysis
 
+#: the host rule runs ``inner`` when ``PULL_RULE_RATIO * pulls < flops``.
+#: Measured on a 2-CPU x86 host (n <= 4096): ``inner`` costs 70-345 ns per
+#: pulled B entry and MSA 21-48 ns per flop, so a pull is worth about three
+#: flops; Hash and ESC never beat MSA there.
+PULL_RULE_RATIO = 3
+
 
 class Planner:
-    """Constructs execution plans from matrix statistics + the cost model.
+    """Constructs execution plans from matrix statistics + the host rule
+    or the cost model.
 
     Parameters
     ----------
     machine:
-        The :class:`MachineConfig` whose cost model and capacities drive
-        every choice.
+        The :class:`MachineConfig` whose capacities (and, off the host
+        profile, cost model) drive every choice; ``None`` is the default
+        machine (:func:`repro.machine.default_machine`).
     candidates:
         Algorithms the auto planner may select (default
         :data:`PLAN_CANDIDATES`).
@@ -126,7 +141,8 @@ class Planner:
 
         Any of ``algo``, ``phases``, ``threads``, ``partition``, ``backend``
         and ``panel_width`` may be forced; everything left ``None`` (or
-        ``algo="auto"``) is decided by the cost model.  ``memory_budget_bytes``
+        ``algo="auto"``) is decided by the host rule (default machine) or
+        the cost model (paper presets, fitted configs).  ``memory_budget_bytes``
         turns on column panelling when the working set exceeds it.  The
         backend heuristic picks ``"process"`` (shared-memory worker pool)
         only when the modeled work amortises the pool's dispatch overhead
@@ -167,9 +183,17 @@ class Planner:
             )
 
         notes: list = []
+        estimates: Dict[str, float] = {}
+        # upper-bound flops per output row: every scalar decision below
+        # (rule, batch tier, threads, partition, backend) reads it
+        row_flops = per_row_flops(a, b)
+        flops = int(row_flops.sum())
         if algo is not None:
             bands, mode = self._forced_bands(a, algo, complement), "forced"
-            estimates: Dict[str, float] = {}
+            chosen_phases = 1 if phases is None else phases
+        elif self._uses_host_rule():
+            bands = self._rule_bands(a, b, mask, flops, complement, notes)
+            mode = "rule"
             chosen_phases = 1 if phases is None else phases
         else:
             model = RowCostModel(a, b, mask, self.machine, complement=complement)
@@ -195,13 +219,15 @@ class Planner:
                 phases if phases is not None else self._pick_phases(model, bands, notes)
             )
 
-        self._assign_batch(a, b, bands, batch, notes)
-        if threads is None:
+        self._assign_batch(row_flops, bands, batch, notes)
+        if threads is None and mode == "rule" and backend is None:
+            threads = self._host_threads(a.nrows, flops, notes)
+        elif threads is None:
             threads = self._pick_threads(a.nrows, notes)
         if partition is None:
-            partition = self._pick_partition(a, b, notes)
+            partition = self._pick_partition(row_flops, notes)
         if backend is None:
-            backend = self._pick_backend(a, b, bands, threads, notes)
+            backend = self._pick_backend(flops, bands, threads, notes)
         else:
             backend = normalize_backend(backend)
         shard_grid = (
@@ -242,6 +268,43 @@ class Planner:
     # ------------------------------------------------------------------
     # banding policies
     # ------------------------------------------------------------------
+    def _uses_host_rule(self) -> bool:
+        """Host-profile plans take the measured rule, not the cost model
+        (``banding="ratio"``/``"none"`` stay explicit model ablations)."""
+        return (
+            self.machine.name == HOST
+            and self.banding == "cost"
+            and "msa" in self.candidates
+        )
+
+    def _rule_bands(self, a, b, mask, flops: int, complement: bool, notes):
+        """One band for the whole call, chosen by the host pull/push rule.
+
+        ``pulls`` is exactly the number of B entries the ``inner`` kernel
+        reads (column ``B[:, j]`` once per mask entry ``(i, j)``); ``flops``
+        is what MSA multiplies.  A pull costs about ``PULL_RULE_RATIO``
+        flops on the host, so ``inner`` wins only when the mask is that
+        much sparser than the product.
+        """
+        if a.nrows == 0:
+            return []
+        if complement:
+            algo, why = "msa", "complemented mask (inner cannot pull it)"
+            notes.append(f"host rule: complemented mask, flops={flops} -> msa")
+        else:
+            col_nnz = np.bincount(b.indices, minlength=b.ncols)
+            pulls = int(col_nnz[mask.indices].sum())
+            pull = PULL_RULE_RATIO * pulls < flops
+            algo = "inner" if pull and "inner" in self.candidates else "msa"
+            why = "pull regime" if algo == "inner" else "push regime"
+            notes.append(
+                f"host rule: pulls={pulls} (B entries inner reads), "
+                f"flops={flops}; {PULL_RULE_RATIO}*pulls "
+                f"{'<' if pull else '>='} flops -> {algo}"
+            )
+        rows = np.arange(a.nrows, dtype=np.int64)
+        return [RowBand(rows=rows, algo=algo, reason="host rule: " + why)]
+
     def _forced_bands(self, a, algo: str, complement: bool):
         key = algo.lower()
         if key not in ALL_ALGOS:
@@ -336,7 +399,7 @@ class Planner:
     # ------------------------------------------------------------------
     # scalar decisions
     # ------------------------------------------------------------------
-    def _assign_batch(self, a, b, bands, forced, notes) -> None:
+    def _assign_batch(self, per, bands, forced, notes) -> None:
         """Resolve each band's kernel batching tier and bucket census.
 
         Batchable algorithms (MSA/Hash/ESC fast kernels) get the bucketed
@@ -349,7 +412,6 @@ class Planner:
         """
         if not bands:
             return
-        per = per_row_flops(a, b)
         crossover = int(self.machine.batch_crossover_flops)
         bucketed_rows = 0
         perrow_rows = 0
@@ -404,7 +466,21 @@ class Planner:
             )
         return threads
 
-    def _pick_backend(self, a, b, bands, threads: int, notes) -> str:
+    def _host_threads(self, nrows: int, flops: int, notes) -> int:
+        """Worker count of a host-rule plan: one serial pass unless the
+        work clears the process crossover.  Measured on a 2-CPU host, GIL-
+        bound thread partitions lose to a serial pass below it (1.3-2.2x
+        slower at 6.6e4-2.6e5 flops) and never beat process workers."""
+        work = float(flops) * self.machine.flop_cycles
+        if work < self.machine.process_crossover_cycles:
+            notes.append(
+                f"serial: work {work:.3g} cycles below the process crossover "
+                f"{self.machine.process_crossover_cycles:.3g}"
+            )
+            return 1
+        return self._pick_threads(nrows, notes)
+
+    def _pick_backend(self, flops: int, bands, threads: int, notes) -> str:
         """Cost-model heuristic for the execution backend.
 
         ``process`` pays a per-call dispatch overhead (publish operands into
@@ -419,30 +495,30 @@ class Planner:
         if threads <= 1:
             return "serial"
         work = float(sum(band.est_cycles for band in bands))
+        what = "modeled work"
         if work <= 0.0:
-            # forced plans carry no modeled cycles; fall back to the flop
-            # count as a work proxy (an underestimate, hence conservative)
-            work = float(total_flops(a, b)) * self.machine.flop_cycles
+            # forced and host-rule plans carry no modeled cycles; the flop
+            # count is the work proxy (an underestimate, hence conservative)
+            work = float(flops) * self.machine.flop_cycles
+            what = "work (flops x flop_cycles)"
         crossover = self.machine.process_crossover_cycles
         from ..parallel.pool import process_backend_available
 
         if work >= crossover and process_backend_available():
             notes.append(
-                f"process backend: modeled work {work:.3g} cycles >= "
+                f"process backend: {what} {work:.3g} cycles >= "
                 f"crossover {crossover:.3g} (zero-copy shm operands, "
                 "persistent pool)"
             )
             return "process"
         notes.append(
-            f"thread backend: modeled work {work:.3g} cycles below the "
+            f"thread backend: {what} {work:.3g} cycles below the "
             f"process crossover {crossover:.3g}"
         )
         return "thread"
 
-    def _pick_partition(self, a, b, notes) -> str:
-        from ..machine import flops_per_row
-
-        fl = flops_per_row(a, b).astype(np.float64)
+    def _pick_partition(self, row_flops, notes) -> str:
+        fl = row_flops.astype(np.float64)
         mean = float(fl.mean()) if fl.size else 0.0
         if mean <= 0:
             return "block"

@@ -14,7 +14,7 @@ from .calibrate import (
     measure_backend_overhead,
     measure_touch_costs,
 )
-from .config import HASWELL, KNL, MACHINES, MachineConfig
+from .config import HASWELL, KNL, MACHINES, MachineConfig, host_cpus
 from .cost_model import (
     MODEL_ALGOS,
     DirectionEstimate,
@@ -33,6 +33,7 @@ from .fit import (
     default_machine,
     evaluate_config,
     fit_machine,
+    host_profile,
     load_fitted,
     load_fitted_payload,
     resolve_machine,
@@ -63,6 +64,7 @@ __all__ = [
     "KNL",
     "MACHINES",
     "MachineConfig",
+    "host_cpus",
     "MODEL_ALGOS",
     "ModelEstimate",
     "DirectionEstimate",
@@ -76,6 +78,7 @@ __all__ = [
     "MACHINE_ENV",
     "FitResult",
     "default_machine",
+    "host_profile",
     "fit_machine",
     "evaluate_config",
     "samples_from_history",

@@ -1,6 +1,9 @@
 """Machine configurations for the cost model.
 
-Two presets mirror the paper's testbeds (Section 7):
+Two presets mirror the paper's testbeds (Section 7); they reproduce the
+paper's figures.  The planner's default is instead the *host profile*
+(:func:`repro.machine.fit.host_profile`), whose worker ceiling is
+:func:`host_cpus`.
 
 * ``HASWELL`` — 2x Intel Xeon E5-2698v3, 32 cores total, 2.3 GHz, 40 MB
   shared L3, 256 KB L2 per core.
@@ -17,9 +20,19 @@ they are.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
-__all__ = ["MachineConfig", "HASWELL", "KNL", "MACHINES"]
+__all__ = ["MachineConfig", "HASWELL", "KNL", "MACHINES", "host_cpus"]
+
+
+def host_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the machine's
+    core count): the ceiling for planned workers and the process pool."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # platforms without sched_getaffinity
+        return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

@@ -41,16 +41,18 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .config import HASWELL, MACHINES, MachineConfig
+from .config import HASWELL, MACHINES, MachineConfig, host_cpus
 
 __all__ = [
     "FIT_SCHEMA_VERSION",
     "FITTED_PARAMS",
     "DEFAULT_FITTED_PATH",
     "FITTED_PATH_ENV",
+    "HOST",
     "MACHINE_ENV",
     "FitResult",
     "default_machine",
+    "host_profile",
     "samples_from_history",
     "samples_from_predictions",
     "fit_machine",
@@ -82,6 +84,17 @@ FITTED_PATH_ENV = "REPRO_MACHINE_FILE"
 #: environment variable naming the default machine ("haswell" | "knl" |
 #: "fitted") for every call that does not pass one explicitly
 MACHINE_ENV = "REPRO_MACHINE"
+
+#: name of the host profile: the default machine, which the planner
+#: serves with its measured pull/push rule instead of the cost model
+HOST = "host"
+
+#: flops at/above which a host plan runs on the process backend (the host
+#: profile keeps flop_cycles = 1, so this is its process crossover).
+#: Measured with MSA on a 2-CPU x86 host (R-MAT and ER, n <= 4096): serial
+#: wins below 1e5 flops, ties near 2.6e5, and 2 process workers win by
+#: 20-30% from 6.7e5 on.
+HOST_PROCESS_CROSSOVER_FLOPS = 5e5
 
 #: nominal clock of a fitted config: 1 cycle == 1 ns of host time
 NOMINAL_GHZ = 1.0
@@ -438,25 +451,44 @@ def load_fitted(path: Optional[str] = None) -> MachineConfig:
     return MachineConfig(**doc)
 
 
+def host_profile() -> MachineConfig:
+    """The machine this process runs on, as the planner sees it.
+
+    Its worker ceiling is :func:`~repro.machine.config.host_cpus` and its
+    process crossover :data:`HOST_PROCESS_CROSSOVER_FLOPS`; the remaining
+    constants are Haswell's.  The planner does not rank algorithms with
+    this config's cost model: a plan on the host profile uses the measured
+    pull/push rule (``docs/engine.md``).
+    """
+    return dataclasses.replace(
+        HASWELL,
+        name=HOST,
+        cores=host_cpus(),
+        process_crossover_cycles=HOST_PROCESS_CROSSOVER_FLOPS,
+    )
+
+
 def default_machine() -> MachineConfig:
     """The machine targeted when no ``machine=`` is given anywhere.
 
-    Haswell (the paper's primary platform), unless the ``REPRO_MACHINE``
-    environment variable names a preset or ``"fitted"`` — the hook CI uses
-    to re-run entire equivalence suites under a fitted config without
+    The host profile (:func:`host_profile`), unless the ``REPRO_MACHINE``
+    environment variable names a preset or ``"fitted"`` —
+    ``REPRO_MACHINE=haswell`` restores paper-model planning for a whole
+    process (CI re-runs the backend equivalence suite that way) without
     touching a single call site.
     """
     name = os.environ.get(MACHINE_ENV, "").strip()
     if not name:
-        return HASWELL
+        return host_profile()
     return resolve_machine(name)
 
 
 def resolve_machine(machine, *, default: Optional[MachineConfig] = None
                     ) -> MachineConfig:
     """Resolve a ``machine=`` argument: a config, a preset name, or
-    ``"fitted"`` (the persisted host-calibrated config).  ``None`` falls
-    back to ``default`` when given, else to :func:`default_machine`."""
+    ``"fitted"`` (the persisted history-calibrated config).  ``None`` falls
+    back to ``default`` when given, else to :func:`default_machine` (the
+    host profile unless ``REPRO_MACHINE`` names another machine)."""
     if machine is None:
         return default if default is not None else default_machine()
     if isinstance(machine, MachineConfig):

@@ -45,18 +45,16 @@ def flops_per_row(a: CSR, b: CSR) -> np.ndarray:
     """``flops(A[i,:] @ B)`` for every row i: the number of scalar products a
     push-based algorithm evaluates *without* a mask.  (The paper counts one
     "flop" per multiply; we follow that convention.)"""
-    b_row_nnz = b.row_nnz()
-    if a.nnz == 0:
-        return np.zeros(a.nrows, dtype=np.int64)
-    contrib = b_row_nnz[a.indices]
-    out = np.zeros(a.nrows, dtype=np.int64)
-    np.add.at(out, np.repeat(np.arange(a.nrows), a.row_nnz()), contrib)
-    return out
+    # segment sums of B's row lengths over A's rows, as prefix-sum
+    # differences at A's row pointers (exact in int64)
+    prefix = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(b.row_nnz()[a.indices], out=prefix[1:])
+    return prefix[a.indptr[1:]] - prefix[a.indptr[:-1]]
 
 
 def total_flops(a: CSR, b: CSR) -> int:
     """``flops(AB)`` — scalar multiplications of the unmasked product."""
-    return int(flops_per_row(a, b).sum())
+    return int(b.row_nnz()[a.indices].sum())
 
 
 def useful_flops_per_row(a: CSR, b: CSR, mask: CSR) -> np.ndarray:

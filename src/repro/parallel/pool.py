@@ -41,7 +41,7 @@ import multiprocessing as mp
 
 import numpy as np
 
-from ..machine import OpCounter
+from ..machine import OpCounter, host_cpus
 from ..observe.tracer import NULL_SPAN as _NULL_CM
 from ..semiring import STANDARD_SEMIRINGS, Semiring
 from . import shm as _shm
@@ -89,15 +89,19 @@ _POOL_TASKS = {"submitted": 0, "completed": 0}
 
 
 def get_pool(workers: int) -> ProcessPoolExecutor:
-    """The persistent pool, grown (never shrunk) to at least ``workers``.
+    """The persistent pool, grown (never shrunk) to at least ``workers``,
+    but never beyond the CPUs this process may use (:func:`host_cpus`).
 
-    Growing replaces the pool — a rare event once an application reaches
-    its steady-state worker count; reuse is the common case and costs a
-    dictionary read.
+    Above that ceiling a call's partitions queue on the pool instead of
+    forking more workers; partitions are independent, so results are
+    unchanged.  Growing replaces the pool — a rare event once an
+    application reaches its steady-state worker count; reuse is the common
+    case and costs a dictionary read.
     """
     global _POOL, _POOL_WORKERS
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, host_cpus())
     if _POOL is None or _POOL_WORKERS < workers:
         if _POOL is not None:
             _POOL.shutdown(wait=True, cancel_futures=True)

@@ -107,7 +107,8 @@ class TestLedgerRows:
         try:
             with tracing() as tr:
                 masked_spgemm(a, b, m, algo="auto", backend=backend,
-                              semiring=PLUS_TIMES, session=session)
+                              semiring=PLUS_TIMES, session=session,
+                              machine="haswell")
         finally:
             if session is not None:
                 session.close()
@@ -144,7 +145,8 @@ class TestLedgerRows:
         low = _tc_low(scale=9, seed=1)
         with tracing() as tr:
             masked_spgemm(low, low, low, algo="auto", shards=(2, 2),
-                          backend="serial", semiring=PLUS_PAIR)
+                          backend="serial", semiring=PLUS_PAIR,
+                          machine="haswell")
         rows = [r for r in predictions(tr)["rows"]
                 if r["kind"] == "shard-cell"]
         assert rows
@@ -198,7 +200,8 @@ class TestLedgerRows:
         low = _tc_low(scale=8, seed=5)
         with tracing() as tr:
             masked_spgemm(low, low, low, algo="auto", backend="serial",
-                          semiring=PLUS_PAIR, batch="bucket")
+                          semiring=PLUS_PAIR, batch="bucket",
+                          machine="haswell")
         mx = metrics(tr, machine=HASWELL)
         preds = mx["predictions"]
         assert preds["schema_version"] == 1
@@ -267,7 +270,7 @@ class TestFit:
 
     def test_resolve_machine_presets_and_fitted(self, fitted, tmp_path,
                                                 monkeypatch):
-        monkeypatch.delenv(MACHINE_ENV, raising=False)
+        monkeypatch.setenv(MACHINE_ENV, "haswell")
         assert resolve_machine(None) is HASWELL
         assert resolve_machine(HASWELL) is HASWELL
         assert resolve_machine("haswell") is HASWELL

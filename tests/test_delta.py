@@ -525,8 +525,10 @@ class TestLedger:
         m = erdos_renyi(n, n, 6, seed=3)
         a2 = _drop_entry(a, 5)
         with ExecutionSession() as sess, tracing() as tr:
-            masked_spgemm(a, b, m, algo="auto", session=sess, delta="force")
-            masked_spgemm(a2, b, m, algo="auto", session=sess, delta="force")
+            masked_spgemm(a, b, m, algo="auto", session=sess, delta="force",
+                          machine="haswell")
+            masked_spgemm(a2, b, m, algo="auto", session=sess, delta="force",
+                          machine="haswell")
         rows = [r for r in prediction_rows(tr)
                 if r["kind"] == "delta-patch"]
         assert len(rows) == 1

@@ -1,9 +1,11 @@
-"""Tests for the cost-model execution engine (:mod:`repro.engine`).
+"""Tests for the execution engine (:mod:`repro.engine`).
 
-Covers plan construction and validation, the Figure-7 regime-aware auto
-selection, property-style cross-checks of every plan shape the Planner can
-emit against the reference implementation, complemented-mask safety, and
-counter threading through banded / partitioned / panelled execution.
+Covers plan construction and validation, the host profile's measured
+pull/push rule and worker ceiling, the Figure-7 regime-aware auto selection
+of the Haswell cost model, property-style cross-checks of every plan shape
+the Planner can emit against the reference implementation, complemented-
+mask safety, and counter threading through banded / partitioned /
+panelled execution.
 """
 
 import json
@@ -23,6 +25,7 @@ from repro.core import (
 from repro.core.reference import masked_spgemm_reference
 from repro.engine import (
     PLAN_CANDIDATES,
+    PULL_RULE_RATIO,
     ExecutionPlan,
     Planner,
     RowBand,
@@ -31,7 +34,13 @@ from repro.engine import (
     plan_and_execute,
 )
 from repro.graphs import erdos_renyi, rmat
-from repro.machine import HASWELL, KNL, OpCounter
+from repro.machine import HASWELL, KNL, MACHINE_ENV, OpCounter, host_cpus
+from repro.parallel import (
+    parallel_masked_spgemm,
+    pool_size,
+    process_backend_available,
+    shutdown_pool,
+)
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR, read_mtx
 
@@ -54,7 +63,7 @@ def triple():
 class TestPlanner:
     def test_auto_plan_covers_all_rows(self, triple):
         a, b, m = triple
-        pl = plan(a, b, m)
+        pl = plan(a, b, m, machine="haswell")
         assert pl.mode == "auto"
         covered = np.concatenate([band.rows for band in pl.bands])
         assert sorted(covered.tolist()) == list(range(a.nrows))
@@ -91,7 +100,7 @@ class TestPlanner:
 
     def test_explain_reports_choices(self, triple):
         a, b, m = triple
-        text = plan(a, b, m).explain()
+        text = plan(a, b, m, machine="haswell").explain()
         assert "algo=" in text
         assert "phases=" in text
         assert "partition" in text
@@ -99,7 +108,7 @@ class TestPlanner:
 
     def test_as_dict_jsonable(self, triple):
         a, b, m = triple
-        d = plan(a, b, m, memory_budget_bytes=10_000).as_dict()
+        d = plan(a, b, m, machine="haswell", memory_budget_bytes=10_000).as_dict()
         json.dumps(d)  # must not raise
         assert d["machine"] == "haswell"
         assert sum(band["nrows"] for band in d["bands"]) == a.nrows
@@ -176,7 +185,157 @@ class TestPlanner:
 
 
 # ----------------------------------------------------------------------
-# Figure-7 auto selection
+# the host profile: measured pull/push rule + CPU-capped workers
+# ----------------------------------------------------------------------
+def _one_per_row_mask(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.arange(n, dtype=np.int64)
+    return CSR.from_coo((n, n), rows, rng.integers(0, n, n), np.ones(n))
+
+
+class TestHostRule:
+    @pytest.fixture(autouse=True)
+    def _default_machine(self, monkeypatch):
+        monkeypatch.delenv(MACHINE_ENV, raising=False)
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _pool_teardown(self):
+        yield
+        shutdown_pool()
+
+    def test_default_machine_is_host_profile(self, triple):
+        a, b, m = triple
+        pl = plan(a, b, m)
+        assert pl.machine == "host" and pl.mode == "rule"
+        assert Planner().machine.cores == host_cpus()
+        assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
+        assert pl.estimates == {}  # no cost model behind a rule plan
+
+    def test_inner_on_one_entry_per_row_mask(self):
+        g = erdos_renyi(512, 512, 16, seed=1)
+        m = _one_per_row_mask(512, seed=2)
+        assert plan(g, g, m).algo == "inner"
+        got_c, want_c = OpCounter(), OpCounter()
+        got = masked_spgemm(g, g, m, algo="auto", counter=got_c)
+        want = masked_spgemm(g, g, m, algo="inner", counter=want_c)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert got_c.as_dict() == want_c.as_dict()
+
+    def test_msa_on_triangle_counting(self):
+        low = rmat(10, seed=1).pattern().tril(-1)
+        assert plan(low, low, low).algo == "msa"
+
+    @pytest.mark.parametrize("mask_degree", [1, 16])
+    def test_msa_for_any_complemented_mask(self, mask_degree):
+        g = erdos_renyi(256, 256, 16, seed=3)
+        m = (
+            _one_per_row_mask(256, seed=4)
+            if mask_degree == 1
+            else erdos_renyi(256, 256, mask_degree, seed=4)
+        )
+        assert plan(g, g, m, complement=True).algo == "msa"
+
+    def test_rule_threshold_is_the_pull_ratio(self):
+        """On both sides of the boundary the choice is exactly
+        ``inner`` iff ``PULL_RULE_RATIO * pulls < flops``."""
+        g = erdos_renyi(256, 256, 8, seed=5)
+        flops = int(g.row_nnz()[g.indices].sum())
+        col_nnz = np.bincount(g.indices, minlength=g.ncols)
+        rows = np.repeat(np.arange(g.nrows), g.row_nnz())
+        wants = set()
+        # a growing prefix of G's entries as the mask: pulls rise monotonically
+        for k in (1, g.nnz // 8, g.nnz // 4, g.nnz // 3, g.nnz // 2, g.nnz):
+            m = CSR.from_coo(g.shape, rows[:k], g.indices[:k], np.ones(k))
+            pulls = int(col_nnz[g.indices[:k]].sum())
+            want = "inner" if PULL_RULE_RATIO * pulls < flops else "msa"
+            assert plan(g, g, m).algo == want, (k, pulls, flops)
+            wants.add(want)
+        assert wants == {"inner", "msa"}
+
+    def test_explain_shows_rule_inputs(self):
+        g = erdos_renyi(256, 256, 16, seed=6)
+        m = _one_per_row_mask(256, seed=7)
+        text = plan(g, g, m).explain()
+        col_nnz = np.bincount(g.indices, minlength=g.ncols)
+        pulls = int(col_nnz[m.indices].sum())
+        flops = int(g.row_nnz()[g.indices].sum())
+        assert "ExecutionPlan[rule]" in text and "on host" in text
+        assert f"pulls={pulls}" in text and f"flops={flops}" in text
+        assert "-> inner" in text and "pull regime" in text
+        ctext = plan(g, g, m, complement=True).explain()
+        assert "complemented mask" in ctext and "-> msa" in ctext
+
+    def test_app_default_plans_within_host_cpus(self, monkeypatch):
+        from repro.apps import (
+            betweenness_centrality,
+            ktruss,
+            markov_clustering,
+            multi_source_bfs,
+            triangle_count,
+        )
+
+        plans = []
+        real = Planner.plan
+
+        def recording(self, *args, **kwargs):
+            plans.append(real(self, *args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(Planner, "plan", recording)
+        big = rmat(12, seed=2)  # 4096 rows: Haswell would plan 8 workers
+        mid = rmat(10, seed=2)
+        triangle_count(big)
+        ktruss(mid, 5)
+        betweenness_centrality(mid, list(range(16)))
+        multi_source_bfs(big, [0, 1, 2, 3])
+        markov_clustering(erdos_renyi(64, 64, 4, seed=8), max_iters=3)
+        assert plans
+        assert max(pl.threads for pl in plans) <= host_cpus()
+        assert {pl.machine for pl in plans} == {"host"}
+
+    def test_forced_process_threads_queue_on_capped_pool(self):
+        if not process_backend_available():
+            pytest.skip("no shared-memory support")
+        g = rmat(9, seed=4)
+        threads = host_cpus() + 6
+        pl = plan(g, g, g, threads=threads, backend="process")
+        assert pl.threads == threads  # partitions stay as forced ...
+        got = execute(pl, g, g, g)
+        assert pool_size() <= host_cpus()  # ... and queue on the pool
+        want = parallel_masked_spgemm(g, g, g, algo=pl.algo, threads=1,
+                                      backend="serial")
+        assert_csr_equal(got, want)
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_auto_matches_reference_kernels_bitwise(self, complement,
+                                                    square_problem):
+        """``auto`` on the host profile runs the rule's kernel unchanged:
+        values and every counter equal a forced call of that kernel, and
+        values plus the tier-independent counters equal the reference."""
+        a, b, m = square_problem
+        chosen = plan(a, b, m, complement=complement).algo
+        got_c, fast_c, ref_c = OpCounter(), OpCounter(), OpCounter()
+        got = masked_spgemm(a, b, m, algo="auto", complement=complement,
+                            semiring=PLUS_PAIR, counter=got_c)
+        fast = masked_spgemm(a, b, m, algo=chosen, complement=complement,
+                             semiring=PLUS_PAIR, counter=fast_c)
+        ref = masked_spgemm_reference(a, b, m, algo=chosen,
+                                      complement=complement,
+                                      semiring=PLUS_PAIR, counter=ref_c)
+        for want in (fast, ref):
+            want = want.sort_indices()
+            out = got.sort_indices()
+            assert np.array_equal(out.indptr, want.indptr)
+            assert np.array_equal(out.indices, want.indices)
+            assert np.array_equal(out.data, want.data)
+        assert got_c.as_dict() == fast_c.as_dict()
+        assert (got_c.flops, got_c.output_nnz) == (ref_c.flops, ref_c.output_nnz)
+
+
+# ----------------------------------------------------------------------
+# Figure-7 auto selection (the Haswell cost model)
 # ----------------------------------------------------------------------
 class TestAutoSelection:
     def test_density_grid_selects_multiple_algorithms(self):
@@ -190,7 +349,7 @@ class TestAutoSelection:
             b = erdos_renyi(n, n, d_in, seed=d_in + 1000)
             for d_m in degrees:
                 m = erdos_renyi(n, n, d_m, seed=d_m + 2000)
-                per_algo = plan(a, b, m).nrows_per_algo()
+                per_algo = plan(a, b, m, machine="haswell").nrows_per_algo()
                 chosen.add(max(per_algo, key=per_algo.get))
         assert len(chosen) >= 3, chosen
         assert chosen <= set(PLAN_CANDIDATES)
@@ -204,7 +363,7 @@ class TestAutoSelection:
             a = erdos_renyi(n, n, d_in, seed=d_in)
             b = erdos_renyi(n, n, d_in, seed=d_in + 50)
             m = erdos_renyi(n, n, d_m, seed=d_m + 99)
-            pl = plan(a, b, m)
+            pl = plan(a, b, m, machine="haswell")
             got = execute(pl, a, b, m, semiring=PLUS_PAIR).sort_indices()
             want = masked_spgemm_reference(
                 a, b, m, algo="msa", semiring=PLUS_PAIR

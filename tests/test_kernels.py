@@ -13,6 +13,7 @@ from repro.core.kernels import (
 )
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.core.kernels.hash_kernel import masked_spgemm_hash_fast
+from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.baselines import scipy_masked_spgemm
 from repro.machine import OpCounter, total_flops
 from repro.semiring import PLUS_TIMES
@@ -166,6 +167,22 @@ class TestKernelBlocking:
         want = scipy_masked_spgemm(a, b, m)
         got = masked_spgemm_hash_fast(a, b, m, flop_budget=budget)
         assert_csr_equal(got, want)
+
+    @pytest.mark.parametrize("budget", [1, 17, 1000])
+    def test_inner_pull_blocking_bitwise_invariant(self, budget, small_triple):
+        """Pull blocks only reorder COO pieces before ``from_coo``: values
+        and counters are bit-identical to a single unblocked pass."""
+        a, b, m = small_triple
+        want_c, got_c = OpCounter(), OpCounter()
+        want = masked_spgemm_inner_fast(a, b, m, counter=want_c,
+                                        pull_budget=1 << 40)
+        got = masked_spgemm_inner_fast(a, b, m, counter=got_c,
+                                       pull_budget=budget)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert got_c.as_dict() == want_c.as_dict()
+        assert_csr_equal(got, scipy_masked_spgemm(a, b, m))
 
     @pytest.mark.parametrize("dense_budget", [8, 64, 1 << 22])
     def test_msa_dense_budget_invariant(self, dense_budget, small_triple):

@@ -203,7 +203,7 @@ class TestPlanCache:
         from repro.machine import KNL
 
         a, b, m = square_problem
-        with ExecutionSession() as sess:
+        with ExecutionSession(machine="haswell") as sess:
             base = sess.plan(a, b, m)
             knl = sess.plan(a, b, m, machine=KNL)
             assert base.machine == "haswell"
