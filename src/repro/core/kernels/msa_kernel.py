@@ -42,7 +42,7 @@ from ...machine import OpCounter
 from ...observe import probes as _probes
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
-from ...sparse import CSR
+from ...sparse import CSR, sorted_unique
 from .arena import get_arena
 from .batch import FusedSlab, bucket_batches, expand_keys, per_row_flops, \
     resolve_tier, rows_entries
@@ -178,7 +178,7 @@ def _msa_bucketed(
             _c_add_at(values, kept, vals_kept, add_ufunc)
             if counter is not None:
                 counter.flops += int(keep.sum())
-            touched = np.unique(kept)
+            touched = sorted_unique(kept)
             gathered = values[touched].copy()
             g_rows = rows[touched // nn]
             g_cols = touched % nn
@@ -266,7 +266,7 @@ def _msa_blocks(
             add_at(values, kept, prod_vals[keep])
             if counter is not None:
                 counter.flops += int(keep.sum())
-            touched = np.unique(kept)
+            touched = sorted_unique(kept)
             gathered = values[touched]
             out_rows.append(touched // n + lo)
             out_cols.append(touched % n)

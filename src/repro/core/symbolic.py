@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..machine import OpCounter, flops_per_row
-from ..sparse import CSR
+from ..sparse import CSR, sorted_unique
 from .kernels.expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks, row_keys
 
 __all__ = ["symbolic_masked", "one_phase_bound"]
@@ -51,7 +51,7 @@ def symbolic_masked(
             continue
         if counter is not None:
             counter.symbolic_flops += int(prod_rows.shape[0])
-        p_keys = np.unique(row_keys(prod_rows, prod_cols, n))
+        p_keys = sorted_unique(row_keys(prod_rows, prod_cols, n))
         if m_keys_all.shape[0] == 0:
             inside = np.zeros(p_keys.shape[0], dtype=bool)
         else:
@@ -59,7 +59,7 @@ def symbolic_masked(
             idx_c = np.minimum(idx, m_keys_all.shape[0] - 1)
             inside = m_keys_all[idx_c] == p_keys
         keep = p_keys[~inside] if complement else p_keys[inside]
-        np.add.at(out, keep // n, 1)
+        out += np.bincount(keep // n, minlength=a.nrows)
     return out
 
 

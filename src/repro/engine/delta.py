@@ -53,7 +53,7 @@ import numpy as np
 from ..machine import MachineConfig, OpCounter, resolve_machine
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
-from ..sparse import CSR, block_digests, changed_rows, dirty_blocks
+from ..sparse import CSR, changed_rows, dirty_blocks, sorted_unique
 from ..sparse.diff import DELTA_BLOCK_ROWS
 from .executor import execute
 from .plan import ExecutionPlan, RowBand
@@ -172,7 +172,7 @@ def _propagate_b(session, a, fa, b_changed: np.ndarray) -> np.ndarray:
     off = np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(lens) - lens, lens
     )
-    return np.unique(a_csc.indices[np.repeat(starts, lens) + off])
+    return sorted_unique(a_csc.indices[np.repeat(starts, lens) + off])
 
 
 def _patch_plan(plan: ExecutionPlan, dirty: np.ndarray, nrows: int) -> ExecutionPlan:
@@ -325,7 +325,7 @@ def delta_execute(
     m_dirty = _dirty_rows(session, state.mask, mask, state.fm, fm, values=False)
     b_changed = _dirty_rows(session, state.b, b, state.fb, fb, values=True)
     b_touched = _propagate_b(session, a, fa, b_changed)
-    dirty = np.unique(np.concatenate([a_dirty, m_dirty, b_touched]))
+    dirty = sorted_unique(np.concatenate([a_dirty, m_dirty, b_touched]))
     dplan = DeltaPlan(
         nrows=nrows, dirty_rows=dirty, a_dirty=a_dirty,
         b_touched=b_touched, mask_dirty=m_dirty,

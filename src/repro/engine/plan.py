@@ -236,9 +236,10 @@ class ExecutionPlan:
                     "which does not support complement"
                 )
             r = np.asarray(band.rows)
-            if r.size and (int(r.min()) < 0 or int(r.max()) >= nrows):
-                raise ValueError("band rows out of range")
-            np.add.at(counts, r, 1)
+            if r.size:
+                if int(r.min()) < 0 or int(r.max()) >= nrows:
+                    raise ValueError("band rows out of range")
+                counts += np.bincount(r, minlength=nrows)
         if self.partial:
             if self.bands and not bool(np.all(counts <= 1)):
                 raise ValueError(

@@ -22,9 +22,9 @@ calls:
   — published shm segments (and derived CSC transposes) stay alive across
   calls; only operands whose fingerprint changed are republished, and a
   values-only change rewrites the data segment in place.
-* **derived-CSC memo** — ``CSC.from_csr`` (a lexsort transpose) runs once
-  per operand content; the result is memoised on the session *and* on the
-  CSR object itself behind the fingerprint.
+* **derived-CSC memo** — ``CSC.from_csr`` (one stable sort of the column
+  indices) runs once per operand content; the result is memoised on the
+  session *and* on the CSR object itself behind the fingerprint.
 * **symbolic bound memo** — 1P mask bounds and 2P symbolic sweeps are
   cached per structure; on a hit the recorded counter delta is replayed,
   so sessioned and sessionless runs report identical ``OpCounter`` totals.

@@ -21,7 +21,7 @@ def degree_sort_permutation(a: CSR, *, ascending: bool = False) -> np.ndarray:
     default).  Ties broken by vertex id for determinism."""
     deg = a.row_nnz()
     key = deg if ascending else -deg
-    return np.lexsort((np.arange(a.nrows), key)).astype(np.int64)
+    return np.argsort(key, kind="stable").astype(np.int64)
 
 
 def relabel_by_degree(a: CSR, *, ascending: bool = False) -> CSR:

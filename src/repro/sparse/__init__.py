@@ -6,7 +6,7 @@ the structural helpers the applications need (masking, triangular extraction,
 degree-sorted relabeling lives in :mod:`repro.graphs.relabel`).
 """
 
-from .csr import CSR
+from .csr import CSR, sorted_unique
 from .csc import CSC
 from .dcsr import DCSC, DCSR
 from .diff import DELTA_BLOCK_ROWS, block_digests, changed_rows, dirty_blocks
@@ -43,6 +43,7 @@ __all__ = [
     "pattern_union",
     "reduce_sum",
     "row_reduce",
+    "sorted_unique",
     "read_mtx",
     "write_mtx",
     "save_npz",

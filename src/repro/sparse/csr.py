@@ -22,10 +22,40 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["CSR"]
+__all__ = ["CSR", "sorted_unique"]
 
 INDEX_DTYPE = np.int64
 VALUE_DTYPE = np.float64
+# largest nrows * ncols whose composite keys row * ncols + col fit in int64
+_KEY_LIMIT = 2**63
+# up to this many descents (a few sorted runs: row-ordered pieces, or a
+# sorted matrix concatenated with new entries) NumPy's stable sort, which
+# merges runs, beats its unstable sort
+_FEW_RUNS = 16
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array.
+
+    The result equals ``np.unique(values)``, computed by a sort and an
+    adjacent-difference filter.  ``np.unique`` on integers is hash-based in
+    recent NumPy and several times slower on the index and key arrays the
+    kernels and the delta engine deduplicate.
+    """
+    out = np.sort(np.asarray(values).ravel())
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
+def _indptr(rows: np.ndarray, nrows: int) -> np.ndarray:
+    """Row pointers of entries whose row ids ``rows`` are in row order."""
+    indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    return indptr
 
 
 class CSR:
@@ -102,8 +132,11 @@ class CSR:
     ) -> "CSR":
         """Build a CSR matrix from coordinate triples.
 
-        Duplicate ``(row, col)`` entries are summed (``sum_duplicates=True``,
-        the default) or rejected.  The result has sorted row segments.
+        Duplicate ``(row, col)`` entries are summed in input order
+        (``sum_duplicates=True``, the default) or rejected.  The result has
+        sorted row segments.  Input already in ``(row, col)`` order is
+        verified in ``O(nnz)`` and not sorted again, so row-ordered kernel
+        and partition outputs assemble by concatenation.
         """
         rows = np.asarray(rows, dtype=INDEX_DTYPE)
         cols = np.asarray(cols, dtype=INDEX_DTYPE)
@@ -121,23 +154,41 @@ class CSR:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("column index out of range")
-        # Sort lexicographically by (row, col).
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
+        if nrows * ncols <= _KEY_LIMIT:
+            # one composite key per entry; its order is (row, col) order
+            keys = rows * ncols + cols
+            step = np.diff(keys)
+            descents = int(np.count_nonzero(step < 0))
+            if descents:
+                # the stable order is lexsort((cols, rows)), so duplicate
+                # runs are summed in input order; the unstable sort is
+                # faster on scattered keys and agrees when all are distinct
+                stable = descents <= _FEW_RUNS
+                order = np.argsort(keys, kind="stable" if stable else None)
+                step = np.diff(keys[order])
+                if not (stable or step.all()):
+                    order = np.argsort(keys, kind="stable")
+                rows, cols, vals = rows[order], cols[order], vals[order]
+            else:
+                # already in order: skip the sort, but never alias the
+                # caller's arrays
+                cols, vals = cols.copy(), vals.copy()
+            dup = step == 0
+        else:
+            # rows * ncols + cols would overflow int64: sort on both keys
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
             dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if dup.any():
-                if not sum_duplicates:
-                    raise ValueError("duplicate coordinates present")
-                # segment-reduce duplicate runs
-                keep = np.concatenate(([True], ~dup))
-                seg = np.cumsum(keep) - 1
-                out_vals = np.zeros(int(seg[-1]) + 1, dtype=vals.dtype)
-                np.add.at(out_vals, seg, vals)
-                rows, cols, vals = rows[keep], cols[keep], out_vals
-        indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        if dup.any():
+            if not sum_duplicates:
+                raise ValueError("duplicate coordinates present")
+            # segment-reduce duplicate runs
+            keep = np.concatenate(([True], ~dup))
+            seg = np.cumsum(keep) - 1
+            out_vals = np.zeros(int(seg[-1]) + 1, dtype=vals.dtype)
+            np.add.at(out_vals, seg, vals)
+            rows, cols, vals = rows[keep], cols[keep], out_vals
+        indptr = _indptr(rows, nrows)
         return cls((nrows, ncols), indptr, cols, vals, sorted_indices=True, check=False)
 
     @classmethod
@@ -242,14 +293,26 @@ class CSR:
             raise ValueError("indices/data length mismatch with indptr")
         if nnz and (self.indices.min() < 0 or self.indices.max() >= ncols):
             raise ValueError("column index out of range")
-        if self.sorted_indices and nnz:
-            d = np.diff(self.indices)
-            starts = self.indptr[1:-1]
-            bad = d <= 0
-            bad[starts[(starts > 0) & (starts < nnz)] - 1] = False
-            if bad.any():
-                raise ValueError("indices not strictly increasing within rows")
+        if self.sorted_indices and not self._rows_increasing():
+            raise ValueError("indices not strictly increasing within rows")
         return self
+
+    def _rows_increasing(self) -> bool:
+        """Whether column indices are strictly increasing within every row
+        (an ``O(nnz)`` scan; a row boundary may step down)."""
+        nnz = self.nnz
+        if nnz < 2:
+            return True
+        bad = np.diff(self.indices) <= 0
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < nnz)] - 1] = False
+        return not bad.any()
+
+    def _row_ids(self) -> np.ndarray:
+        """The row index of every stored entry."""
+        return np.repeat(
+            np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr)
+        )
 
     # ------------------------------------------------------------------
     # conversions / structural ops
@@ -276,10 +339,7 @@ class CSR:
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(rows, cols, vals)`` coordinate arrays."""
-        rows = np.repeat(
-            np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr)
-        )
-        return rows, self.indices.copy(), self.data.copy()
+        return self._row_ids(), self.indices.copy(), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
@@ -297,17 +357,44 @@ class CSR:
         )
 
     def sort_indices(self) -> "CSR":
-        """Return an equivalent CSR with sorted, duplicate-summed rows."""
+        """Return an equivalent CSR with sorted, duplicate-summed rows.
+
+        A flagged matrix is returned as is.  An unflagged one whose rows
+        are already strictly increasing is verified in ``O(nnz)`` and comes
+        back flagged over the same arrays (no copy); only a matrix with an
+        unsorted or duplicated row is rebuilt through :meth:`from_coo`.
+        """
         if self.sorted_indices:
             return self
+        if self._rows_increasing():
+            return CSR(
+                self.shape, self.indptr, self.indices, self.data,
+                sorted_indices=True, check=False,
+            )
         rows, cols, vals = self.to_coo()
         return CSR.from_coo(self.shape, rows, cols, vals)
 
     def transpose(self) -> "CSR":
         """Transpose.  The result has sorted rows (CSR of the transpose is
-        the CSC of the original, so this also serves as the CSC builder)."""
-        rows, cols, vals = self.to_coo()
-        return CSR.from_coo((self.ncols, self.nrows), cols, rows, vals)
+        the CSC of the original, so this also serves as the CSC builder).
+
+        One stable sort of the column indices of the row-ordered entries
+        groups them by column with rows still increasing inside each group.
+        """
+        src = self.sort_indices()
+        keys = src.indices
+        if self.ncols <= 1 << 16:
+            # NumPy sorts 16-bit keys stably by radix sort
+            keys = keys.astype(np.uint16)
+        order = np.argsort(keys, kind="stable")
+        return CSR(
+            (self.ncols, self.nrows),
+            _indptr(src.indices, self.ncols),
+            src._row_ids()[order],
+            src.data[order],
+            sorted_indices=True,
+            check=False,
+        )
 
     def pattern(self) -> "CSR":
         """Same structure with all stored values set to 1.0."""
@@ -325,17 +412,33 @@ class CSR:
         keep = np.abs(self.data) > tol
         if keep.all():
             return self
-        rows, cols, vals = self.to_coo()
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return self._keep_entries(keep)
 
     def select_rows(self, mask_or_index: np.ndarray) -> "CSR":
         """Keep only rows selected by a boolean mask or index array; other
         rows become empty (the shape is unchanged)."""
         sel = np.zeros(self.nrows, dtype=bool)
         sel[mask_or_index] = True
-        rows, cols, vals = self.to_coo()
-        keep = sel[rows]
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return self._keep_entries(sel[self._row_ids()])
+
+    def _keep_entries(self, keep: np.ndarray) -> "CSR":
+        """The stored entries where ``keep`` is True, as a sorted CSR.
+
+        Rows that are already in order are filtered without a COO rebuild;
+        an unsorted matrix takes the :meth:`from_coo` route, which sums the
+        duplicates that survive the filter (``keep`` sees them unsummed).
+        """
+        if not (self.sorted_indices or self._rows_increasing()):
+            rows, cols, vals = self.to_coo()
+            return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return CSR(
+            self.shape,
+            _indptr(self._row_ids()[keep], self.nrows),
+            self.indices[keep],
+            self.data[keep],
+            sorted_indices=True,
+            check=False,
+        )
 
     def replace_rows(self, rows: np.ndarray, source: "CSR") -> "CSR":
         """Splice ``source``'s rows ``rows`` into this matrix.
@@ -360,7 +463,7 @@ class CSR:
                 "replace_rows requires sorted_indices on both matrices; "
                 "call sort_indices() first"
             )
-        rows = np.unique(np.asarray(rows, dtype=INDEX_DTYPE))
+        rows = sorted_unique(np.asarray(rows, dtype=INDEX_DTYPE))
         if rows.size == 0:
             return self
         if int(rows[0]) < 0 or int(rows[-1]) >= self.nrows:
@@ -398,7 +501,9 @@ class CSR:
         if self.nrows != self.ncols:
             raise ValueError("permute requires a square matrix")
         perm = np.asarray(perm, dtype=INDEX_DTYPE)
-        if perm.shape[0] != self.nrows or np.unique(perm).shape[0] != self.nrows:
+        if perm.shape != (self.nrows,) or not np.array_equal(
+            np.sort(perm), np.arange(self.nrows)
+        ):
             raise ValueError("perm must be a permutation of range(n)")
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.nrows, dtype=INDEX_DTYPE)
@@ -407,15 +512,11 @@ class CSR:
 
     def tril(self, k: int = -1) -> "CSR":
         """Lower-triangular part (entries with ``col - row <= k``)."""
-        rows, cols, vals = self.to_coo()
-        keep = cols - rows <= k
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return self._keep_entries(self.indices - self._row_ids() <= k)
 
     def triu(self, k: int = 1) -> "CSR":
         """Upper-triangular part (entries with ``col - row >= k``)."""
-        rows, cols, vals = self.to_coo()
-        keep = cols - rows >= k
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return self._keep_entries(self.indices - self._row_ids() >= k)
 
     # ------------------------------------------------------------------
     # comparisons

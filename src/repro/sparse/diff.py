@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .csr import CSR, INDEX_DTYPE
+from .csr import CSR, INDEX_DTYPE, sorted_unique
 
 __all__ = [
     "DELTA_BLOCK_ROWS",
@@ -112,7 +112,7 @@ def changed_rows(
     if rows is None:
         cand = np.arange(new.nrows, dtype=INDEX_DTYPE)
     else:
-        cand = np.unique(np.asarray(rows, dtype=INDEX_DTYPE))
+        cand = sorted_unique(np.asarray(rows, dtype=INDEX_DTYPE))
         if cand.size and (int(cand[0]) < 0 or int(cand[-1]) >= new.nrows):
             raise ValueError("candidate row index out of range")
     if cand.size == 0:
