@@ -2,12 +2,15 @@
 
 Cases: triangle counting ``L .* (L @ L)`` (``L`` the strict lower triangle)
 and the k-truss support product ``G .* (G @ G)`` on Graph500 R-MAT graphs of
-scale 8-12.  Every round times ``masked_spgemm(algo="auto")`` and each
-plannable algorithm forced, interleaved so drift on a shared host hits all
-of them alike; an algorithm's time is its median over the rounds.  A forced
-algorithm more than ``PRUNE`` times slower than the fastest one in the
-warm-up round cannot be the oracle and is reported with its warm-up time
-only.  The auto/oracle ratio — auto's median over the fastest forced
+scale 8-12, and one batched betweenness-centrality op (64 sources; its
+forward levels use a complemented mask, so the host rule chooses push or
+pull per level) at scale 10-11.  Every round times the op with
+``algo="auto"`` and with each plannable algorithm forced (for BC: each one
+that supports a complemented mask), interleaved so drift on a shared host
+hits all of them alike; an algorithm's time is its median over the rounds.
+A forced algorithm more than ``PRUNE`` times slower than the fastest one in
+the warm-up round cannot be the oracle and is reported with its warm-up
+time only.  The auto/oracle ratio — auto's median over the fastest forced
 median — lands in ``benchmarks/results/`` (a ``.txt``/``.json`` pair per
 case); at scale >= 10, where kernel work dominates the planner's fixed
 cost, it must stay within ``BOUND``.
@@ -16,15 +19,19 @@ cost, it must stay within ``BOUND``.
 import statistics
 import time
 
+import numpy as np
 import pytest
 
-from repro.core import masked_spgemm
+from repro.apps import betweenness_centrality
+from repro.core import masked_spgemm, supports_complement
 from repro.engine import PLAN_CANDIDATES, plan
 from repro.graphs import rmat
 from repro.parallel import shutdown_pool
 from repro.semiring import PLUS_PAIR
 
 SCALES = (8, 9, 10, 11, 12)
+BC_SCALES = (10, 11)
+BC_BATCH = 64
 ROUNDS = 7
 PRUNE = 2.0
 BOUND = 1.15
@@ -45,12 +52,25 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
-def _measure(a, b, m):
-    runs = {"auto": lambda: masked_spgemm(a, b, m, algo="auto",
-                                          semiring=PLUS_PAIR)}
-    for algo in PLAN_CANDIDATES:
-        runs[algo] = (lambda algo=algo: masked_spgemm(
+def _spgemm_runs(a, b, m):
+    return {
+        algo: (lambda algo=algo: masked_spgemm(
             a, b, m, algo=algo, semiring=PLUS_PAIR))
+        for algo in ("auto",) + PLAN_CANDIDATES
+    }
+
+
+def _bc_runs(g):
+    sources = np.random.default_rng(1).choice(g.nrows, BC_BATCH, replace=False)
+    algos = ("auto",) + tuple(a for a in PLAN_CANDIDATES if supports_complement(a))
+    return {
+        algo: (lambda algo=algo: betweenness_centrality(
+            g, sources=sources, algo=algo))
+        for algo in algos
+    }
+
+
+def _measure(runs):
     warm = {name: _timed(fn) for name, fn in runs.items()}
     best = min(t for name, t in warm.items() if name != "auto")
     live = [name for name, t in warm.items()
@@ -65,40 +85,48 @@ def _measure(a, b, m):
     }, live
 
 
-@pytest.mark.parametrize("case", ["tc", "gg"])
+def _row(scale, runs, shape):
+    med, live = _measure(runs)
+    forced = {k: v for k, v in med.items() if k != "auto"}
+    oracle = min(forced, key=forced.get)
+    return {
+        "scale": scale,
+        "auto_plan": shape,
+        "oracle": oracle,
+        "median_s": med,
+        "pruned": sorted(set(med) - set(live)),
+        "ratio": med["auto"] / forced[oracle],
+    }
+
+
+@pytest.mark.parametrize("case", ["tc", "gg", "bc"])
 def test_auto_within_bound_of_fastest_forced(benchmark, save_result, case):
     def run():
         rows = []
-        for scale in SCALES:
-            a, b, m = _operands(case, scale)
-            pl = plan(a, b, m)
-            med, live = _measure(a, b, m)
-            forced = {k: v for k, v in med.items() if k != "auto"}
-            oracle = min(forced, key=forced.get)
-            rows.append({
-                "scale": scale,
-                "auto_algo": pl.algo,
-                "auto_backend": pl.backend,
-                "auto_threads": pl.threads,
-                "oracle": oracle,
-                "median_s": med,
-                "pruned": sorted(set(med) - set(live)),
-                "ratio": med["auto"] / forced[oracle],
-            })
+        for scale in BC_SCALES if case == "bc" else SCALES:
+            if case == "bc":
+                runs, shape = _bc_runs(rmat(scale, seed=1)), "per-level rule"
+            else:
+                a, b, m = _operands(case, scale)
+                pl = plan(a, b, m)
+                runs = _spgemm_runs(a, b, m)
+                shape = f"{pl.algo}/{pl.backend}x{pl.threads}"
+            rows.append(_row(scale, runs, shape))
         shutdown_pool()
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    title = ("auto vs fastest forced algorithm, "
-             + ("L.*(L@L)" if case == "tc" else "G.*(G@G)")
-             + f" on R-MAT (median of {ROUNDS} interleaved rounds)")
+    what = {"tc": "L.*(L@L)", "gg": "G.*(G@G)",
+            "bc": f"BC batch {BC_BATCH} (complemented forward levels)"}[case]
+    title = (f"auto vs fastest forced algorithm, {what} on R-MAT "
+             f"(median of {ROUNDS} interleaved rounds)")
     lines = [title,
              f"{'scale':>5} {'auto plan':<22} {'auto ms':>9} "
              f"{'oracle':<7} {'oracle ms':>9} {'ratio':>6}"]
     for r in rows:
-        shape = f"{r['auto_algo']}/{r['auto_backend']}x{r['auto_threads']}"
         lines.append(
-            f"{r['scale']:>5} {shape:<22} {1e3 * r['median_s']['auto']:>9.2f} "
+            f"{r['scale']:>5} {r['auto_plan']:<22} "
+            f"{1e3 * r['median_s']['auto']:>9.2f} "
             f"{r['oracle']:<7} {1e3 * r['median_s'][r['oracle']]:>9.2f} "
             f"{r['ratio']:>6.2f}")
     save_result("\n".join(lines), data=rows, title=title)

@@ -10,7 +10,10 @@ Forward (BFS) sweep — uses the **complemented** mask:
 
 ``numsp`` accumulates shortest-path counts; the complemented mask prevents
 re-discovering visited vertices — the paper's canonical use of mask
-complement.
+complement.  Each new frontier is disjoint from ``numsp`` (and each level's
+``delta`` contribution from the accumulated ``delta``: BFS levels are
+disjoint), so accumulation inserts the new level's entries into the sorted
+accumulated ones without re-sorting them.
 
 Backward (dependency) sweep — uses the **plain** mask:
 
@@ -63,12 +66,16 @@ class BetweennessResult:
     counter: OpCounter = field(default_factory=OpCounter)
 
 
+def _row_ids(mat: CSR) -> np.ndarray:
+    """The row index of every stored entry of ``mat``."""
+    return np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
+
+
 def _lookup(mat: CSR, rows: np.ndarray, cols: np.ndarray, default: float) -> np.ndarray:
     """Values of ``mat`` at the given coordinates (``default`` if absent)."""
     if mat.nnz == 0:
         return np.full(rows.shape[0], default)
-    m_rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
-    keys = m_rows * np.int64(mat.ncols) + mat.indices
+    keys = _row_ids(mat) * np.int64(mat.ncols) + mat.indices
     q = rows * np.int64(mat.ncols) + cols
     idx = np.searchsorted(keys, q)
     idx_c = np.minimum(idx, keys.shape[0] - 1)
@@ -76,6 +83,34 @@ def _lookup(mat: CSR, rows: np.ndarray, cols: np.ndarray, default: float) -> np.
     out = np.full(rows.shape[0], default)
     out[hit] = mat.data[idx_c[hit]]
     return out
+
+
+def _add_disjoint(acc: CSR, new: CSR) -> CSR:
+    """``acc + new`` for matrices with disjoint patterns.
+
+    Equal, bit for bit, to ``CSR.from_coo`` over both matrices' entries, but
+    ``acc``'s entries are never sorted again: one ``searchsorted`` finds where
+    each of ``new``'s keys lands among ``acc``'s sorted keys and one scatter
+    places both.
+    """
+    acc, new = acc.sort_indices(), new.sort_indices()
+    ncols = np.int64(acc.ncols)
+    old_keys = _row_ids(acc) * ncols + acc.indices
+    new_keys = _row_ids(new) * ncols + new.indices
+    at = np.searchsorted(old_keys, new_keys)
+    if old_keys.size and np.any(
+        old_keys[np.minimum(at, old_keys.size - 1)] == new_keys
+    ):
+        raise AssertionError("BC accumulation: level patterns overlap")
+    dest = at + np.arange(new.nnz, dtype=np.int64)
+    is_new = np.zeros(acc.nnz + new.nnz, dtype=bool)
+    is_new[dest] = True
+    indices = np.empty(is_new.size, dtype=np.int64)
+    data = np.empty(is_new.size, dtype=np.result_type(acc.data, new.data))
+    indices[dest], data[dest] = new.indices, new.data
+    indices[~is_new], data[~is_new] = acc.indices, acc.data
+    return CSR(acc.shape, acc.indptr + new.indptr, indices, data,
+               sorted_indices=True, check=False)
 
 
 def betweenness_centrality(
@@ -104,10 +139,12 @@ def betweenness_centrality(
     through to every level's masked SpGEMM (see ``docs/sharding.md``).
     ``session`` controls cross-call caching —
     an :class:`~repro.engine.ExecutionSession`, ``None`` (default: open a
-    loop-local one for ``algo="auto"``), or ``False`` to disable.  BC is
-    the paper's best case for reuse: ``A`` and ``A^T`` are constant across
-    every level, so their shm segments publish once and only the small
-    frontier/numsp operands move per call.
+    loop-local one only when ``shards`` is set), or ``False`` to disable.
+    With a session on a process backend ``A`` and ``A^T`` publish once and
+    only the small frontier/numsp operands move per call.  Without shards
+    the default runs sessionless: every level's frontier and ``numsp`` are
+    new operands, so a session would fingerprint each of them and never
+    hit its plan cache.
     """
     if not supports_complement(algo):
         raise ValueError(
@@ -126,9 +163,7 @@ def betweenness_centrality(
     sources = np.asarray(list(sources), dtype=np.int64)
     s = sources.shape[0]
     counter = counter if counter is not None else OpCounter()
-    session, owned = resolve_session(
-        session, auto=(algo == "auto" or shards is not None)
-    )
+    session, owned = resolve_session(session, auto=shards is not None)
     # stage spans: per-step forward (complemented mask) / backward (plain
     # mask) breakdowns appear in trace exports; timed_span also feeds the
     # result's *_seconds fields when tracing is off
@@ -194,14 +229,7 @@ def _betweenness_body(
             if frontier.nnz == 0:
                 break
             frontiers.append(frontier)
-            fr, fc, fv = frontier.to_coo()
-            nr, nc, nv = numsp.to_coo()
-            numsp = CSR.from_coo(
-                (s, n),
-                np.concatenate([nr, fr]),
-                np.concatenate([nc, fc]),
-                np.concatenate([nv, fv]),
-            )
+            numsp = _add_disjoint(numsp, frontier)
 
         depth = len(frontiers) - 1
 
@@ -230,14 +258,11 @@ def _betweenness_body(
             spgemm_time += sp_b.seconds
             backward_time += sp_b.seconds
             # delta += t_d .* numsp (on t_d's pattern)
-            tr, tc, tv = t_d.to_coo()
-            contrib = tv * _lookup(numsp, tr, tc, 0.0)
-            dr, dc, dv = delta.to_coo()
-            delta = CSR.from_coo(
-                (s, n),
-                np.concatenate([dr, tr]),
-                np.concatenate([dc, tc]),
-                np.concatenate([dv, contrib]),
+            t_d = t_d.sort_indices()
+            contrib = t_d.data * _lookup(numsp, _row_ids(t_d), t_d.indices, 0.0)
+            delta = _add_disjoint(
+                delta, CSR(t_d.shape, t_d.indptr, t_d.indices, contrib,
+                           sorted_indices=True, check=False)
             )
 
         # centrality: column sums of delta, excluding each source's own entry

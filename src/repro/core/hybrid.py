@@ -19,8 +19,9 @@ favours.  This module keeps two things:
   * otherwise -> **msa** when the dense accumulator fits the private cache
     for the given machine, else **hash**.
 
-  With ``complement=True`` the inner/mca regimes are unavailable (neither
-  supports complemented masks, paper Sec. 8.4) and every row falls through
+  With ``complement=True`` the inner/mca regimes are unavailable (the
+  paper models neither under a complemented mask, Sec. 8.4:
+  :data:`~repro.machine.MODEL_NO_COMPLEMENT`) and every row falls through
   to the msa/hash regime.
 
 * :func:`masked_spgemm_hybrid` — the historical front door, now a thin
@@ -34,7 +35,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..machine import HASWELL, MachineConfig, OpCounter, flops_per_row
+from ..machine import HASWELL, MODEL_NO_COMPLEMENT, MachineConfig, OpCounter, \
+    flops_per_row
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSR
 
@@ -55,17 +57,19 @@ def classify_rows(
 
     ``pull_ratio``: choose inner when ``flops_i > pull_ratio * nnz(m_i)``.
     ``push_ratio``: choose mca when ``nnz(m_i) > push_ratio * flops_i``.
-    ``complement``: complemented masks can never route to inner/mca (they
-    do not support complement), so all rows land in the msa/hash regime.
+    ``complement``: complemented masks never route to the regimes the
+    model has no complement formula for (:data:`MODEL_NO_COMPLEMENT`:
+    inner and mca), so all rows land in the msa/hash regime.
     """
     fl = flops_per_row(a, b).astype(np.float64)
     mn = mask.row_nnz().astype(np.float64)
     rows = np.arange(a.nrows)
-    if complement:
-        inner_rows = np.zeros(a.nrows, dtype=bool)
-        mca_rows = np.zeros(a.nrows, dtype=bool)
-    else:
+    excluded = MODEL_NO_COMPLEMENT if complement else frozenset()
+    inner_rows = np.zeros(a.nrows, dtype=bool)
+    if "inner" not in excluded:
         inner_rows = fl > pull_ratio * np.maximum(mn, 1.0)
+    mca_rows = np.zeros(a.nrows, dtype=bool)
+    if "mca" not in excluded:
         mca_rows = (~inner_rows) & (mn > push_ratio * np.maximum(fl, 1.0))
     rest = ~(inner_rows | mca_rows)
     msa_fits = 2 * b.ncols * 8 <= machine.private_cache_bytes

@@ -1,21 +1,32 @@
 """Vectorized Inner (pull-based dot-product) kernel.
 
-The fast counterpart of Section 4.1: for every mask nonzero ``(i, j)``
-compute the sparse dot product ``A[i,:] . B[:,j]`` with ``B`` in CSC.
+The fast counterpart of Section 4.1: for every output cell ``(i, j)`` the
+kernel may produce, compute the sparse dot product ``A[i,:] . B[:,j]`` with
+``B`` in CSC.  The cells are the mask's nonzeros, or — with
+``complement=True`` — every column *not* in ``M[i,:]`` of each row that has
+A entries (pulling over the complement of the mask: the direction-optimising
+regime of push-pull BFS/BC, where the visited set is large and the product
+mostly lands on it).
 
-Vectorization strategy — one batch over all mask nonzeros of a block:
+Vectorization strategy — per row block:
 
-1. expand the CSC column slice of every mask nonzero: each (i, j) pulls the
-   ``(rowid, value)`` pairs of column ``B[:,j]`` (this *is* the pull
-   traffic: ``nnz(M) * nnz(B)/n`` expected words, the paper's formula);
-2. look each pulled pair ``(i, k)`` up in A via one ``searchsorted`` of flat
-   keys into A's (sorted) flat key array — the batched analogue of the
-   two-pointer merge in the reference;
-3. multiply the matches and segment-reduce them per mask nonzero with the
-   semiring add.
+1. scatter the block's A rows into a dense **position map**
+   ``pos[local_i * ncols(A) + k] = index of A[i,k]`` (``-1`` elsewhere),
+   leased from the scratch arena and reset only at the cells written —
+   MSA's dirty-cell trick, so a block costs ``O(nnz(A rows))`` to set up;
+2. enumerate the block's cells (mask entries, or the complement cells) and
+   expand the CSC column of each: every cell pulls the ``(k, value)`` pairs
+   of ``B[:,j]`` (this *is* the pull traffic, the paper's
+   ``nnz(M) * nnz(B)/n``);
+3. look each pulled ``k`` up in the map (one gather), multiply the matches
+   and accumulate them per cell with the semiring add.  Columns of the CSC
+   are sorted by ``k``, so every cell accumulates in ascending ``k`` —
+   the order MSA adds the same products in, hence bit-identical values.
 
-Mask entries with no matched product produce no output entry (the paper's
-note under Figure 1: the mask can contain entries the product never makes).
+Row blocks hold at most ``dense_budget`` map cells (and, under a
+complemented mask, output cells) and about ``pull_budget`` pulls.  Cells
+with no matched product produce no output entry (the paper's note under
+Figure 1: the mask can contain entries the product never makes).
 """
 
 from __future__ import annotations
@@ -28,8 +39,9 @@ from ...machine import OpCounter
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSC, CSR
+from .arena import get_arena
 from .batch import plan_flop_blocks
-from .expand import row_keys
+from .compiled import add_at as _c_add_at
 
 __all__ = ["masked_spgemm_inner_fast"]
 
@@ -47,69 +59,86 @@ def masked_spgemm_inner_fast(
     counter: Optional[OpCounter] = None,
     b_csc: Optional[CSC] = None,
     pull_budget: int = DEFAULT_PULL_BUDGET,
+    dense_budget: int = 1 << 22,
 ) -> CSR:
     """Vectorized pull-based (Inner) masked SpGEMM (see module docs)."""
-    if complement:
-        raise ValueError("inner-product algorithm does not support complement")
     a = a.sort_indices()
     mask = mask.sort_indices()
     n = b.ncols
-    if a.nnz == 0 or b.nnz == 0 or mask.nnz == 0:
-        if counter is not None:
-            counter.mask_scans += mask.nnz
+    a_nnz = a.row_nnz()
+    m_nnz = mask.row_nnz()
+    has_a = a_nnz > 0
+    if complement:
+        # every column outside M[i, :] of a row with A entries is scanned
+        scans = int((n - m_nnz[has_a]).sum())
+    else:
+        scans = mask.nnz
+    if counter is not None:
+        counter.mask_scans += scans
+    if a.nnz == 0 or b.nnz == 0 or scans == 0:
         return CSR.empty((a.nrows, n))
     csc = b_csc if b_csc is not None else CSC.from_csr(b)
-
-    # flat sorted key view of A for batched membership lookups
-    a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_nnz())
-    a_keys = row_keys(a_rows, a.indices, a.ncols)
-
-    m_rows_all = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_nnz())
-    m_cols_all = mask.indices
     col_nnz = csc.col_nnz()
 
+    # per-row pulls (B entries read), the block planner's work measure
+    cs = np.zeros(mask.nnz + 1, dtype=np.int64)
+    np.cumsum(col_nnz[mask.indices], out=cs[1:])
+    masked_pulls = cs[mask.indptr[1:]] - cs[mask.indptr[:-1]]
+    if complement:
+        per_row = np.where(has_a, b.nnz - masked_pulls + n - m_nnz, 0)
+    else:
+        per_row = np.where(has_a, masked_pulls, 0)
+    width_cells = max(a.ncols, n) if complement else a.ncols
+    max_width = max(1, dense_budget // max(1, width_cells))
+
+    ident = semiring.add_identity
+    mult = semiring.mult_ufunc
+    add_ufunc = semiring.add_ufunc
+    na = np.int64(a.ncols)
     out_rows = []
     out_cols = []
     out_vals = []
+    with get_arena().lease("inner.pos", np.int64, -1) as pos_lease:
+        for blo, bhi in plan_flop_blocks(per_row, pull_budget):
+            for lo in range(blo, bhi, max_width):
+                hi = min(bhi, lo + max_width)
+                c_loc, c_cols = _block_cells(a, mask, has_a, lo, hi, n, complement)
+                if c_cols.shape[0] == 0:
+                    continue
+                posmap = pos_lease.require((hi - lo) * a.ncols)
+                plo, phi = int(a.indptr[lo]), int(a.indptr[hi])
+                a_flat = (
+                    np.repeat(np.arange(hi - lo, dtype=np.int64), a_nnz[lo:hi]) * na
+                    + a.indices[plo:phi]
+                )
+                posmap[a_flat] = np.arange(plo, phi, dtype=np.int64)
 
-    # block the mask nonzeros so each block pulls at most pull_budget pairs
-    for lo, hi in plan_flop_blocks(col_nnz[m_cols_all], pull_budget):
-        m_rows = m_rows_all[lo:hi]
-        m_cols = m_cols_all[lo:hi]
-        if counter is not None:
-            counter.mask_scans += hi - lo
-
-        starts = csc.indptr[m_cols]
-        counts = csc.indptr[m_cols + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        block_ofs = np.repeat(np.cumsum(counts) - counts, counts)
-        pos = np.arange(total, dtype=np.int64) - block_ofs + np.repeat(starts, counts)
-        pulled_k = csc.indices[pos]  # inner index k of B[k, j]
-        pulled_v = csc.data[pos]
-        slot = np.repeat(np.arange(hi - lo, dtype=np.int64), counts)
-        pulled_i = m_rows[slot]
-
-        keys = row_keys(pulled_i, pulled_k, a.ncols)
-        idx = np.searchsorted(a_keys, keys)
-        idx_c = np.minimum(idx, max(0, a_keys.shape[0] - 1))
-        match = (a_keys.shape[0] > 0) & (a_keys[idx_c] == keys)
-        if counter is not None:
-            counter.flops += int(match.sum())
-
-        prods = semiring.mult_ufunc(a.data[idx_c[match]], pulled_v[match])
-        mslots = slot[match]
-        vals = np.full(hi - lo, semiring.add_identity, dtype=np.float64)
-        hit = np.zeros(hi - lo, dtype=bool)
-        semiring.add_ufunc.at(vals, mslots, prods)
-        hit[mslots] = True
-
-        out_rows.append(m_rows[hit])
-        out_cols.append(m_cols[hit])
-        out_vals.append(vals[hit])
-        if counter is not None:
-            counter.useful_flops += int(hit.sum())
+                starts = csc.indptr[c_cols]
+                counts = csc.indptr[c_cols + 1] - starts
+                total = int(counts.sum())
+                slot = np.repeat(np.arange(c_cols.shape[0], dtype=np.int64), counts)
+                # flat CSC position of every pulled entry, cell by cell
+                pull = np.arange(total, dtype=np.int64) + np.repeat(
+                    starts - (np.cumsum(counts) - counts), counts
+                )
+                a_pos = posmap[np.repeat(c_loc * na, counts) + csc.indices[pull]]
+                posmap[a_flat] = -1  # reset only the dirtied cells
+                match = a_pos >= 0
+                mslots = slot[match]
+                prods = np.asarray(
+                    mult(a.data[a_pos[match]], csc.data[pull[match]]),
+                    dtype=np.float64,
+                )
+                vals = np.full(c_cols.shape[0], ident, dtype=np.float64)
+                _c_add_at(vals, mslots, prods, add_ufunc)
+                hit = np.zeros(c_cols.shape[0], dtype=bool)
+                hit[mslots] = True
+                if counter is not None:
+                    counter.flops += int(mslots.shape[0])
+                    counter.useful_flops += int(np.count_nonzero(hit))
+                out_rows.append(c_loc[hit] + lo)
+                out_cols.append(c_cols[hit])
+                out_vals.append(vals[hit])
 
     if out_rows:
         rows = np.concatenate(out_rows)
@@ -121,3 +150,24 @@ def masked_spgemm_inner_fast(
     if counter is not None:
         counter.output_nnz += int(rows.shape[0])
     return CSR.from_coo((a.nrows, n), rows, cols, vals)
+
+
+def _block_cells(a, mask, has_a, lo, hi, n, complement):
+    """``(local_row, col)`` of the cells rows ``[lo, hi)`` pull, in row then
+    column order: the mask entries of rows with A entries, or under a
+    complemented mask the columns outside ``M[i, :]`` of those rows."""
+    rows = np.flatnonzero(has_a[lo:hi])
+    m_lo, m_hi = mask.indptr[lo + rows], mask.indptr[lo + rows + 1]
+    m_cnt = m_hi - m_lo
+    m_total = int(m_cnt.sum())
+    m_slot = np.repeat(np.arange(rows.shape[0], dtype=np.int64), m_cnt)
+    m_pos = np.arange(m_total, dtype=np.int64) + np.repeat(
+        m_lo - (np.cumsum(m_cnt) - m_cnt), m_cnt
+    )
+    m_cols = mask.indices[m_pos]
+    if not complement:
+        return rows[m_slot], m_cols
+    free = np.ones((rows.shape[0], n), dtype=bool)
+    free[m_slot, m_cols] = False
+    slot, cols = np.nonzero(free)
+    return rows[slot], cols.astype(np.int64, copy=False)

@@ -243,7 +243,7 @@ def spgevm_heap_complement(
 
 
 def spgevm_inner(
-    m_cols: np.ndarray,
+    cells: np.ndarray,
     u_cols: np.ndarray,
     u_vals: np.ndarray,
     b_csc: CSC,
@@ -251,11 +251,12 @@ def spgevm_inner(
     counter: OpCounter,
 ) -> Tuple[List[int], List[float]]:
     """Pull-based algorithm (Section 4.1): one sorted-merge dot product
-    ``u . B[:,j]`` per mask nonzero j."""
+    ``u . B[:,j]`` per candidate column j — the mask's nonzeros, or under a
+    complemented mask the columns outside it."""
     out_cols: List[int] = []
     out_vals: List[float] = []
     mult, add = semiring.mult, semiring.add
-    for j in m_cols:
+    for j in cells:
         col_rows, col_vals = b_csc.col(int(j))
         counter.mask_scans += 1
         # sorted two-pointer intersection of u and B[:, j]
@@ -348,7 +349,7 @@ def masked_spgemm_reference(
         raise ValueError("inner dimensions of A and B do not agree")
     if mask.shape != (a.nrows, b.ncols):
         raise ValueError("mask shape must match output shape")
-    if complement and algo in ("mca", "inner"):
+    if complement and algo == "mca":
         raise ValueError(f"{algo} does not support complemented masks")
     a = a.sort_indices()
     b = b.sort_indices()
@@ -362,12 +363,21 @@ def masked_spgemm_reference(
 
     if algo == "inner":
         csc = b_csc if b_csc is not None else CSC.from_csr(b)
+        all_cols = np.arange(b.ncols, dtype=np.int64)
         for i in range(a.nrows):
             m_cols, _ = mask.row(i)
-            if len(m_cols) == 0:
-                continue
             u_cols, u_vals = a.row(i)
-            cols, vals = spgevm_inner(m_cols, u_cols, u_vals, csc, semiring, counter)
+            if complement:
+                # pull over !M: every column outside M[i, :] of a row with
+                # A entries (an empty A row has nothing to pull)
+                if len(u_cols) == 0:
+                    continue
+                cells = np.setdiff1d(all_cols, m_cols)
+            elif len(m_cols) == 0:
+                continue
+            else:
+                cells = m_cols
+            cols, vals = spgevm_inner(cells, u_cols, u_vals, csc, semiring, counter)
             out_rows.extend([i] * len(cols))
             out_cols.extend(cols)
             out_vals.extend(vals)

@@ -32,11 +32,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.masked_spgemm import supports_complement
+
 __all__ = ["RowBand", "ShardGrid", "ExecutionPlan"]
 
 #: algorithms a plan may reference (kept in sync with repro.core by tests)
 _KNOWN_ALGOS = ("inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
-_NO_COMPLEMENT = frozenset({"inner", "mca"})
 #: batch tiers a band may carry (kept in sync with repro.core.kernels.batch)
 _KNOWN_BATCH = ("auto", "bucket", "perrow")
 
@@ -230,7 +231,7 @@ class ExecutionPlan:
                     f"plan references unknown batch tier {band.batch!r}; "
                     f"expected one of {_KNOWN_BATCH}"
                 )
-            if self.complement and band.algo in _NO_COMPLEMENT:
+            if self.complement and not supports_complement(band.algo):
                 raise ValueError(
                     f"plan routes a complemented mask to {band.algo!r}, "
                     "which does not support complement"

@@ -4,13 +4,17 @@
 On the default machine — the host profile (:func:`repro.machine.host_profile`)
 — the algorithm comes from a short rule measured on the host: the pull-based
 ``inner`` kernel when it reads fewer than a third as many B entries as the
-product has flops, MSA otherwise (and always under a complemented mask).
+product has flops, MSA otherwise.  Under a complemented mask ``inner`` pulls
+over the columns outside the mask, so the same test decides push or pull
+(the direction optimisation of push-pull BFS/BC).
 The rule picks one algorithm per call (mode ``"rule"``); the worker count is
 capped at the CPUs this process may use.
 
 On a paper preset (``machine="haswell"``/``"knl"``) or a fitted config the
 machine cost model (:class:`repro.machine.RowCostModel`) drives execution:
-the planner evaluates every candidate algorithm's modeled per-row cycles,
+the planner evaluates every candidate algorithm's modeled per-row cycles
+(except, under a complemented mask, those the paper gives no cost formula
+for: :data:`~repro.machine.MODEL_NO_COMPLEMENT`),
 assigns each output row to the cheapest one (Figure 7's regime map, computed
 rather than eyeballed), decides the 1P/2P phase strategy, picks a row
 partition and thread count for the parallel executor, and — given a memory
@@ -39,7 +43,7 @@ from ..core.hybrid import classify_rows
 from ..core.kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, bucket_census, \
     per_row_flops
 from ..core.masked_spgemm import ALGO_LABELS, ALL_ALGOS, supports_complement
-from ..machine import RowCostModel
+from ..machine import MODEL_NO_COMPLEMENT, RowCostModel
 from ..machine.fit import HOST, resolve_machine
 from ..parallel.executor import normalize_backend
 from .plan import ExecutionPlan, RowBand, ShardGrid
@@ -197,13 +201,16 @@ class Planner:
             chosen_phases = 1 if phases is None else phases
         else:
             model = RowCostModel(a, b, mask, self.machine, complement=complement)
-            cand = [c for c in self.candidates if not complement or supports_complement(c)]
+            cand = [
+                c for c in self.candidates
+                if not (complement and c in MODEL_NO_COMPLEMENT)
+            ]
             if complement and len(cand) < len(self.candidates):
                 dropped = [c for c in self.candidates if c not in cand]
                 notes.append(
                     "complemented mask: dropped "
                     + "/".join(ALGO_LABELS[c] for c in dropped)
-                    + " (no complement support)"
+                    + " (no complemented cost model)"
                 )
             ests = {c: model.estimate(c, phases=1) for c in cand}
             estimates = {
@@ -280,28 +287,38 @@ class Planner:
     def _rule_bands(self, a, b, mask, flops: int, complement: bool, notes):
         """One band for the whole call, chosen by the host pull/push rule.
 
-        ``pulls`` is exactly the number of B entries the ``inner`` kernel
-        reads (column ``B[:, j]`` once per mask entry ``(i, j)``); ``flops``
-        is what MSA multiplies.  A pull costs about ``PULL_RULE_RATIO``
-        flops on the host, so ``inner`` wins only when the mask is that
-        much sparser than the product.
+        ``pulls`` is the work the ``inner`` kernel does: the B entries it
+        reads (column ``B[:, j]`` once per mask entry ``(i, j)``) and, under
+        a complemented mask, ``nnz(B)`` minus the masked columns' entries
+        per row with A entries plus the complement cells it scans.
+        ``flops`` is what MSA expands.  A pull costs about
+        ``PULL_RULE_RATIO`` flops on the host, so ``inner`` wins only when
+        the mask (or, complemented, the unvisited set) is that much
+        sparser than the product.
         """
         if a.nrows == 0:
             return []
+        col_nnz = np.bincount(b.indices, minlength=b.ncols)
         if complement:
-            algo, why = "msa", "complemented mask (inner cannot pull it)"
-            notes.append(f"host rule: complemented mask, flops={flops} -> msa")
+            has_a = a.row_nnz() > 0
+            m_nnz = mask.row_nnz()
+            in_rows = np.repeat(has_a, m_nnz)
+            masked = int(col_nnz[mask.indices[in_rows]].sum())
+            n_rows = int(np.count_nonzero(has_a))
+            cells = n_rows * b.ncols - int(m_nnz[has_a].sum())
+            pulls = n_rows * b.nnz - masked + cells
+            what = "complemented mask, "
         else:
-            col_nnz = np.bincount(b.indices, minlength=b.ncols)
             pulls = int(col_nnz[mask.indices].sum())
-            pull = PULL_RULE_RATIO * pulls < flops
-            algo = "inner" if pull and "inner" in self.candidates else "msa"
-            why = "pull regime" if algo == "inner" else "push regime"
-            notes.append(
-                f"host rule: pulls={pulls} (B entries inner reads), "
-                f"flops={flops}; {PULL_RULE_RATIO}*pulls "
-                f"{'<' if pull else '>='} flops -> {algo}"
-            )
+            what = ""
+        pull = PULL_RULE_RATIO * pulls < flops
+        algo = "inner" if pull and "inner" in self.candidates else "msa"
+        why = "pull regime" if algo == "inner" else "push regime"
+        notes.append(
+            f"host rule: {what}pulls={pulls} (B entries inner reads), "
+            f"flops={flops}; {PULL_RULE_RATIO}*pulls "
+            f"{'<' if pull else '>='} flops -> {algo}"
+        )
         rows = np.arange(a.nrows, dtype=np.int64)
         return [RowBand(rows=rows, algo=algo, reason="host rule: " + why)]
 

@@ -17,6 +17,7 @@ from .calibrate import (
 from .config import HASWELL, KNL, MACHINES, MachineConfig, host_cpus
 from .cost_model import (
     MODEL_ALGOS,
+    MODEL_NO_COMPLEMENT,
     DirectionEstimate,
     ModelEstimate,
     RowCostModel,
@@ -66,6 +67,7 @@ __all__ = [
     "MachineConfig",
     "host_cpus",
     "MODEL_ALGOS",
+    "MODEL_NO_COMPLEMENT",
     "ModelEstimate",
     "DirectionEstimate",
     "RowCostModel",

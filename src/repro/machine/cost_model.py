@@ -45,6 +45,7 @@ from .traffic import flops_per_row
 
 __all__ = [
     "MODEL_ALGOS",
+    "MODEL_NO_COMPLEMENT",
     "RowCostModel",
     "ModelEstimate",
     "DirectionEstimate",
@@ -67,6 +68,13 @@ MODEL_ALGOS = (
     "ssgb_dot",
     "ssgb_saxpy",
 )
+
+#: Algorithms the model has no complemented-mask cost formula for: the paper
+#: gives none for Inner or MCA and drops both from its BC benchmark.  The
+#: cost-model planner, ``classify_rows`` and ``explain`` never route a
+#: complemented mask to them (the kernels' own capability is
+#: :func:`repro.core.supports_complement`).
+MODEL_NO_COMPLEMENT = frozenset({"inner", "mca"})
 
 #: Relative cost of a symbolic sweep vs the numeric index traffic.
 SYMBOLIC_FACTOR = 0.55

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 
 from ..sparse import CSR
 from .config import HASWELL, MachineConfig
-from .cost_model import MODEL_ALGOS, RowCostModel
+from .cost_model import MODEL_ALGOS, MODEL_NO_COMPLEMENT, RowCostModel
 
 __all__ = ["explain", "breakdown_table"]
 
@@ -32,7 +32,7 @@ def breakdown_table(
     model = RowCostModel(a, b, mask, machine, complement=complement)
     out: Dict[str, Dict[str, float]] = {}
     for algo in algos or MODEL_ALGOS:
-        if complement and algo in ("inner", "mca"):
+        if complement and algo in MODEL_NO_COMPLEMENT:
             continue
         est = model.estimate(algo, phases=phases)
         row = dict(est.breakdown)

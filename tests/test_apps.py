@@ -183,9 +183,40 @@ class TestBetweenness:
         assert res.depth >= 1
 
     def test_rejects_non_complement_algos(self, graph):
-        for algo in ("inner", "mca"):
-            with pytest.raises(ValueError, match="complement"):
-                betweenness_centrality(graph, sources=[0], algo=algo)
+        with pytest.raises(ValueError, match="complement"):
+            betweenness_centrality(graph, sources=[0], algo="mca")
+        # inner runs the complemented forward sweep: same scores as MSA
+        base = betweenness_centrality(graph, sources=range(10), algo="msa")
+        got = betweenness_centrality(graph, sources=range(10), algo="inner")
+        assert np.array_equal(got.centrality, base.centrality)
+
+    def test_disjoint_accumulation_equals_from_coo(self):
+        """``numsp``/``delta`` accumulate by inserting each level into the
+        sorted accumulated keys; the result is ``from_coo``'s, bit for bit."""
+        from repro.apps.betweenness import _add_disjoint
+        from repro.graphs import erdos_renyi
+
+        full = erdos_renyi(40, 50, 6, seed=1, values="uniform")
+        rows, cols, vals = full.to_coo()
+        pick = np.random.default_rng(2).random(full.nnz) < 0.4
+        parts = [
+            CSR.from_coo(full.shape, rows[sel], cols[sel], vals[sel])
+            for sel in (~pick, pick)
+        ]
+        empty = CSR.empty(full.shape)
+        for acc, new in [parts, parts[::-1], (empty, parts[0]),
+                         (parts[1], empty)]:
+            got = _add_disjoint(acc, new)
+            ar, ac, av = acc.to_coo()
+            nr, nc, nv = new.to_coo()
+            want = CSR.from_coo(full.shape, np.concatenate([ar, nr]),
+                                np.concatenate([ac, nc]),
+                                np.concatenate([av, nv]))
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+        with pytest.raises(AssertionError, match="overlap"):
+            _add_disjoint(full, parts[1])
 
     def test_path_graph_exact(self):
         n = 6

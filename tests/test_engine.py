@@ -84,9 +84,17 @@ class TestPlanner:
 
     def test_forced_complement_unsupported(self, triple):
         a, b, m = triple
-        for algo in ("inner", "mca"):
-            with pytest.raises(ValueError, match="complement"):
-                plan(a, b, m, algo=algo, complement=True)
+        with pytest.raises(ValueError, match="complement"):
+            plan(a, b, m, algo="mca", complement=True)
+        # inner supports complement: the forced plan runs and matches the
+        # oracle
+        pl = plan(a, b, m, algo="inner", complement=True)
+        assert pl.algos() == ("inner",)
+        got = execute(pl, a, b, m)
+        want = scipy_masked_spgemm(a, b, m, complement=True)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.allclose(got.data, want.data)
 
     def test_shape_validation(self):
         a = random_csr(5, 6, 2, seed=1)

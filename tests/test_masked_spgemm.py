@@ -108,8 +108,13 @@ class TestUnsupportedCombos:
     @pytest.mark.parametrize("algo", ["inner", "mca"])
     def test_complement_rejected(self, algo, small_triple):
         a, b, m = small_triple
-        with pytest.raises(ValueError, match="complement"):
-            masked_spgemm(a, b, m, algo=algo, complement=True)
+        if algo == "mca":
+            with pytest.raises(ValueError, match="complement"):
+                masked_spgemm(a, b, m, algo=algo, complement=True)
+            return
+        # inner pulls over !M: it must equal the oracle instead of raising
+        got = masked_spgemm(a, b, m, algo=algo, complement=True)
+        assert_csr_equal(got, scipy_masked_spgemm(a, b, m, complement=True))
 
     def test_unknown_algo(self, small_triple):
         a, b, m = small_triple
