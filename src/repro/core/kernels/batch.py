@@ -45,6 +45,7 @@ __all__ = [
     "BATCH_TIERS",
     "BATCHABLE_ALGOS",
     "DEFAULT_BATCH_CROSSOVER_FLOPS",
+    "DENSE_BUDGET",
     "per_row_flops",
     "resolve_tier",
     "plan_flop_blocks",
@@ -65,6 +66,10 @@ BATCHABLE_ALGOS = frozenset({"msa", "hash", "esc"})
 #: ``batch="auto"`` picks the bucketed tier at/above this many upper-bound
 #: flops for the whole call (see MachineConfig.batch_crossover_flops)
 DEFAULT_BATCH_CROSSOVER_FLOPS = 1 << 18
+
+#: cells of one row block's dense scratch: MSA's accumulators and Inner's
+#: position map (and complement cells) both fit this budget
+DENSE_BUDGET = 1 << 22
 
 
 def per_row_flops(a: CSR, b: CSR) -> np.ndarray:

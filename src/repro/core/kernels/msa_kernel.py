@@ -44,8 +44,8 @@ from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR, sorted_unique
 from .arena import get_arena
-from .batch import FusedSlab, bucket_batches, expand_keys, per_row_flops, \
-    resolve_tier, rows_entries
+from .batch import DENSE_BUDGET, FusedSlab, bucket_batches, expand_keys, \
+    per_row_flops, resolve_tier, rows_entries
 from .compiled import add_at as _c_add_at
 from .expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks
 
@@ -62,7 +62,7 @@ def masked_spgemm_msa_fast(
     semiring: Semiring = PLUS_TIMES,
     counter: Optional[OpCounter] = None,
     flop_budget: int = DEFAULT_FLOP_BUDGET,
-    dense_budget: int = 1 << 22,
+    dense_budget: int = DENSE_BUDGET,
     batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
 ) -> CSR:

@@ -23,7 +23,7 @@ import pytest
 from repro.apps import betweenness_centrality
 from repro.baselines import scipy_masked_spgemm
 from repro.core import masked_spgemm, masked_spgemm_reference
-from repro.core.kernels import masked_spgemm_inner_fast
+from repro.core.kernels import inner_kernel, masked_spgemm_inner_fast
 from repro.engine import execute, plan
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import MACHINE_ENV, OpCounter
@@ -187,21 +187,38 @@ class TestEdgeCases:
         assert got.nnz == 0 and counter.mask_scans == 0
 
     @pytest.mark.parametrize("complement", [False, True])
-    def test_one_row_dense_map_block(self, complement):
-        """A dense budget of one row's map forces one-row blocks; a small
-        pull budget splits by pulls too.  Output and counters never move."""
+    @pytest.mark.parametrize("budget", [1, 200])
+    def test_small_dense_map_blocks(self, complement, budget, monkeypatch):
+        """A dense budget below one row's full-width map forces blocks of
+        one row (budget 1) or a few rows whose map is numbered by the
+        columns they touch (budget 200 < 2 * 128); a small pull budget
+        splits by pulls too.  Output and counters never move."""
         g = rmat(7, seed=4)
         m = erdos_renyi(g.nrows, g.ncols, 6, seed=5)
-        base_c, one_c, tiny_c = OpCounter(), OpCounter(), OpCounter()
+        base_c, small_c, tiny_c = OpCounter(), OpCounter(), OpCounter()
         base = masked_spgemm_inner_fast(g, g, m, complement=complement,
                                         counter=base_c)
-        one = masked_spgemm_inner_fast(g, g, m, complement=complement,
-                                       counter=one_c, dense_budget=g.ncols)
         tiny = masked_spgemm_inner_fast(g, g, m, complement=complement,
                                         counter=tiny_c, pull_budget=7)
-        _bitwise(one, base)
+        monkeypatch.setattr(inner_kernel, "DENSE_BUDGET", budget)
+        small = masked_spgemm_inner_fast(g, g, m, complement=complement,
+                                         counter=small_c)
+        _bitwise(small, base)
         _bitwise(tiny, base)
-        assert base_c == one_c == tiny_c
+        assert base_c == small_c == tiny_c
+
+    def test_wide_sparse_operand(self, monkeypatch):
+        """Rows far sparser than ``ncols(A)``: blocks span many rows through
+        the touched-column map, never one row per ``DENSE_BUDGET / ncols``."""
+        a = erdos_renyi(300, 4000, 2, seed=11, values="uniform")
+        b = erdos_renyi(4000, 300, 2, seed=12, values="uniform")
+        m = erdos_renyi(300, 300, 30, seed=13)
+        want = masked_spgemm(a, b, m, algo="msa")
+        monkeypatch.setattr(inner_kernel, "DENSE_BUDGET", 4000)
+        blocks = list(inner_kernel._map_blocks(
+            np.cumsum(np.r_[0, a.row_nnz()]), 0, a.nrows, a.ncols, 0))
+        assert len(blocks) < a.nrows // 4
+        _bitwise(masked_spgemm_inner_fast(a, b, m), want)
 
     def test_position_map_is_left_clean(self):
         """The leased map goes back to the arena all -1: a second call on
